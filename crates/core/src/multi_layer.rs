@@ -411,11 +411,11 @@ impl MultiLayerModel {
                 &mut ext_scratch,
             );
             trace.stage_wall.extractor_update += stage.lap();
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
+            let delta = params.max_abs_delta(&prev);
+            if reestimates_alpha(cfg, t, delta, alpha_matured) {
                 alpha.update_cols(cc, &out.truth_of_group, &params, cfg, &mut group_exec);
             }
             trace.stage_wall.alpha += stage.lap();
-            let delta = params.max_abs_delta(&prev);
             // Per-group LL terms in parallel, summed serially in group
             // order — the same addition sequence as the serial fold.
             let truth = &out.truth_of_group;
@@ -462,8 +462,10 @@ impl MultiLayerModel {
     /// (or [`ChunkedCube`]) is ever materialized: only the O(groups)
     /// posterior vectors, the per-source/per-extractor tables, and at most
     /// `max_resident_chunks` decoded chunks per cache are resident, while
-    /// a background prefetcher overlaps the next chunk's read + decode
-    /// with the current chunk's compute.
+    /// a background prefetcher overlaps the next chunks' read + decode
+    /// with the current chunks' compute. The prefetcher runs up to
+    /// `max_resident_chunks − workers` chunks (at least one) ahead of the
+    /// workers, so it never evicts a chunk they have yet to consume.
     ///
     /// Every stage reproduces the resident columnar engine's exact float
     /// sequence (vote tables from the persisted per-source extractor CSR,
@@ -533,13 +535,13 @@ impl MultiLayerModel {
         let mut src_updates: Vec<Option<f64>> = Vec::new();
         let mut ext_acc = StreamedExtractorAcc::default();
         let mut ll_buf: Vec<f64> = Vec::new();
-        // Keep the prefetcher a couple of chunks ahead of the workers,
-        // but never so far ahead that a bounded cache would evict chunks
-        // before they are consumed.
-        let mut depth = group_exec.num_shards().saturating_mul(2).max(2);
-        if max_resident_chunks > 0 {
-            depth = depth.min(max_resident_chunks);
-        }
+        // The workers hold one chunk each; the prefetcher may fill the
+        // rest of the cache, and no further, so a prefetched chunk never
+        // evicts one the workers have not consumed yet.
+        let depth = frames
+            .capacity()
+            .saturating_sub(group_exec.num_shards())
+            .max(1);
 
         let mut values: Option<ValueLayerOutput> = None;
         let mut iterations = 0;
@@ -625,7 +627,8 @@ impl MultiLayerModel {
             }
             ext_acc.finish(&meta.source_item_counts, &correctness, cfg, &mut params);
             trace.stage_wall.extractor_update += stage.lap();
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
+            let delta = params.max_abs_delta(&prev);
+            if reestimates_alpha(cfg, t, delta, alpha_matured) {
                 let (truth, params_ref) = (&out.truth_of_group, &params);
                 let per_frame: Vec<(u32, Vec<f64>)> = group_exec.map_chunks(
                     nf,
@@ -645,7 +648,6 @@ impl MultiLayerModel {
                 }
             }
             trace.stage_wall.alpha += stage.lap();
-            let delta = params.max_abs_delta(&prev);
             let truth = &out.truth_of_group;
             let corr = &correctness;
             group_exec.map_keys(ng, &mut ll_buf, |_, g| {
@@ -762,10 +764,10 @@ impl MultiLayerModel {
                 &mut src_updates,
             );
             update_extractor_quality_with(cube, &correctness, cfg, &mut params, &mut ext_scratch);
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
+            let delta = params.max_abs_delta(&prev);
+            if reestimates_alpha(cfg, t, delta, alpha_matured) {
                 alpha.update_with(cube, &out.truth_of_group, &params, cfg, &mut group_exec);
             }
-            let delta = params.max_abs_delta(&prev);
             let log_likelihood = correctness
                 .iter()
                 .zip(&out.truth_of_group)
@@ -854,12 +856,12 @@ impl MultiLayerModel {
                 &mut active,
             );
             update_extractor_quality(cube, &correctness, cfg, &mut params);
+            let delta = params.max_abs_delta(&prev);
             // Re-estimate the correctness prior for the *next* iteration
             // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
+            if reestimates_alpha(cfg, t, delta, alpha_matured) {
                 alpha.update(cube, &out.truth_of_group, &params, cfg);
             }
-            let delta = params.max_abs_delta(&prev);
             let log_likelihood = correctness
                 .iter()
                 .zip(&out.truth_of_group)
@@ -896,6 +898,15 @@ impl MultiLayerModel {
         };
         (result, trace)
     }
+}
+
+/// Whether round `t`, whose parameter change was `delta`, re-estimates
+/// α for round `t + 1`. α only feeds the next round's correctness step,
+/// so the round that ends EM (converged, or the last one allowed) skips
+/// it: the result is the same and one α pass is saved.
+fn reestimates_alpha(cfg: &ModelConfig, t: usize, delta: f64, alpha_matured: bool) -> bool {
+    let ends_em = delta < cfg.convergence_eps || t == cfg.max_iterations;
+    !ends_em && (cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()))
 }
 
 /// Whether `init` resumes converged parameters, in which case the α

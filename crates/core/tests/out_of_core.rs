@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use kbt_core::{ExecMode, ModelConfig, MultiLayerModel, MultiLayerResult, QualityInit};
 use kbt_datamodel::{
-    ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation,
-    ObservationCube, SourceId, ValueId,
+    ChunkSource, ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId,
+    Observation, ObservationCube, SourceId, ValueId,
 };
 use proptest::prelude::*;
 
@@ -128,6 +128,19 @@ fn check_cube(cube: &ObservationCube, target_cells: usize, tag: &str) {
             assert!(io > 0, "{tag}: no cache traffic recorded");
             if max_resident == 0 {
                 assert_eq!(stats.item_cache.evictions, 0, "{tag}: unbounded evicted");
+                // Single-flight loads: with nothing evicted, each frame is
+                // read and decoded exactly once per fit, however the
+                // workers and the prefetcher race.
+                assert_eq!(
+                    stats.item_cache.misses,
+                    store.num_chunks() as u64,
+                    "{tag} threads={threads:?}: item chunk loads"
+                );
+                assert_eq!(
+                    stats.group_cache.misses,
+                    store.num_group_frames() as u64,
+                    "{tag} threads={threads:?}: group frame loads"
+                );
             }
         }
     }

@@ -49,18 +49,19 @@
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
 //!
-//! [`ChunkCache`] adds a bounded LRU of decoded buffers over the store:
+//! [`ChunkCache`] adds a bounded, single-flight cache of decoded buffers
+//! over the store:
 //! workers lease `Arc` handles, so an eviction never invalidates an
 //! in-flight computation — the cache size bounds *residency*, it can
 //! never change a result.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::cube::ObservationCube;
 use crate::ids::{ItemId, SourceId};
@@ -801,13 +802,20 @@ fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
     }
 }
 
-fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> io::Result<()> {
+/// Take a `u32` element count and then all `count * W` bytes of the
+/// column in one length-checked slice.
+fn read_column<'a, const W: usize>(r: &mut WireReader<'a>) -> io::Result<&'a [[u8; W]]> {
     let n = r.u32().map_err(corrupt)? as usize;
+    let len = n
+        .checked_mul(W)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "column length overflows"))?;
+    Ok(r.bytes(len).map_err(corrupt)?.as_chunks::<W>().0)
+}
+
+fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> io::Result<()> {
+    let col = read_column::<4>(r)?;
     out.clear();
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(r.u32().map_err(corrupt)?);
-    }
+    out.extend(col.iter().map(|b| u32::from_le_bytes(*b)));
     Ok(())
 }
 
@@ -1300,12 +1308,10 @@ impl FileChunkStore {
         read_u32_vec(&mut r, &mut buf.group_source)?;
         read_u32_vec(&mut r, &mut buf.cell_offsets)?;
         read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-        let n = r.u32().map_err(corrupt)? as usize;
+        let col = read_column::<8>(&mut r)?;
         buf.cell_confidence.clear();
-        buf.cell_confidence.reserve(n);
-        for _ in 0..n {
-            buf.cell_confidence.push(r.f64().map_err(corrupt)?);
-        }
+        buf.cell_confidence
+            .extend(col.iter().map(|b| f64::from_bits(u64::from_le_bytes(*b))));
         let shape_ok = start <= end
             && buf.group_source.len() == (end - start) as usize
             && buf.cell_offsets.len() == (end - start) as usize + 1
@@ -1367,23 +1373,53 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-struct CacheState<B> {
-    map: HashMap<usize, Arc<B>>,
-    lru: VecDeque<usize>,
+struct Resident<B> {
+    buf: Arc<B>,
+    /// Whether a [`ChunkCache::get`] has handed this buffer out yet; a
+    /// chunk loaded by [`ChunkCache::prefetch`] starts out unleased.
+    leased: bool,
 }
 
-/// Bounded LRU cache of decoded chunk buffers over a loader (usually a
+struct CacheState<B> {
+    map: HashMap<usize, Resident<B>>,
+    /// Resident chunks, oldest load first.
+    order: VecDeque<usize>,
+    /// Chunks whose load is running right now (outside the lock).
+    loading: HashSet<usize>,
+}
+
+/// Bounded cache of decoded chunk buffers over a loader (usually a
 /// [`FileChunkStore`]). Lookups return `Arc` leases: an eviction only
 /// drops the cache's reference, never a worker's, so
 /// **`max_resident_chunks` bounds memory and I/O, and can never change a
-/// result**. Loads happen outside the lock (concurrent misses on
-/// different chunks overlap their I/O); when two threads race to load the
-/// same chunk, the first insert wins and both lease the same buffer.
+/// result**.
+///
+/// Eviction takes the oldest-loaded chunk that a [`Self::get`] has
+/// already leased, and only when no resident chunk has been leased yet,
+/// the oldest-loaded one. A hit does not refresh a chunk. Every streamed
+/// pass scans chunks in ascending order and leases each once, so a
+/// leased chunk is done with for the pass, while an unleased one was
+/// prefetched for a worker that has yet to read it. A cache with room
+/// for the prefetch depth plus one chunk per worker therefore keeps
+/// each prefetched chunk until its worker reads it, so a pass rarely
+/// loads a chunk twice. Recency (LRU) would do the opposite: a hit would
+/// let a consumed chunk outlive the prefetched chunks queued behind it.
+///
+/// Loads are **single-flight**. A load runs outside the cache lock, so
+/// misses on different chunks overlap their I/O, but the chunk is marked
+/// in flight while it loads: a concurrent [`Self::get`] of that chunk
+/// waits for the load and leases the same buffer, and a
+/// [`Self::prefetch`] of it returns at once. No chunk is ever read,
+/// CRC-verified and decoded twice at the same time. A failed (or
+/// panicking) load clears the mark and wakes its waiters, which then
+/// load the chunk themselves and surface their own error.
 pub struct ChunkCache<B> {
     cap: usize,
     num_chunks: usize,
     loader: Box<dyn Fn(usize) -> io::Result<B> + Send + Sync>,
     state: Mutex<CacheState<B>>,
+    /// Signalled whenever a load finishes, successfully or not.
+    loaded: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -1398,6 +1434,27 @@ impl<B> std::fmt::Debug for ChunkCache<B> {
             .finish_non_exhaustive()
     }
 }
+
+/// Clears a chunk's in-flight mark and wakes the threads waiting on it
+/// when dropped — after a successful insert, an error, or a loader panic,
+/// so no waiter can be left parked on a load that will never finish.
+struct InFlight<'a, B> {
+    cache: &'a ChunkCache<B>,
+    idx: usize,
+}
+
+impl<B> Drop for InFlight<'_, B> {
+    fn drop(&mut self) {
+        // A poisoned lock is left alone: the waiters' own `lock`/`wait`
+        // calls then fail loudly instead of parking.
+        if let Ok(mut st) = self.cache.state.lock() {
+            st.loading.remove(&self.idx);
+        }
+        self.cache.loaded.notify_all();
+    }
+}
+
+const POISONED: &str = "chunk cache lock poisoned by a panicking thread";
 
 impl<B> ChunkCache<B> {
     /// Build a cache over `loader` for `num_chunks` chunks, keeping at
@@ -1418,8 +1475,10 @@ impl<B> ChunkCache<B> {
             loader,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
-                lru: VecDeque::new(),
+                order: VecDeque::new(),
+                loading: HashSet::new(),
             }),
+            loaded: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -1431,59 +1490,79 @@ impl<B> ChunkCache<B> {
         self.num_chunks
     }
 
-    /// Lease chunk `idx`, loading it on a miss. The load runs outside the
-    /// cache lock so concurrent misses overlap their I/O.
+    /// Most decoded buffers kept resident (`usize::MAX` when unbounded).
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Lease chunk `idx`, loading it on a miss, or waiting for the load
+    /// already in flight.
     pub fn get(&self, idx: usize) -> io::Result<Arc<B>> {
-        {
-            let mut st = self.state.lock().unwrap();
-            if let Some(b) = st.map.get(&idx).cloned() {
-                if let Some(p) = st.lru.iter().position(|&i| i == idx) {
-                    st.lru.remove(p);
-                }
-                st.lru.push_back(idx);
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            if let Some(r) = st.map.get_mut(&idx) {
+                r.leased = true;
+                let b = Arc::clone(&r.buf);
                 // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(b);
             }
+            if !st.loading.contains(&idx) {
+                return self.load(st, idx, true);
+            }
+            st = self.loaded.wait(st).expect(POISONED);
         }
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let b = (self.loader)(idx)?;
-        Ok(self.insert(idx, Arc::new(b)))
     }
 
-    /// Warm chunk `idx` if absent. Load errors are swallowed — the
-    /// worker's own [`Self::get`] re-surfaces them with context.
+    /// Warm chunk `idx` unless it is resident or already loading. Load
+    /// errors are swallowed — the worker's own [`Self::get`] re-surfaces
+    /// them with context.
     pub fn prefetch(&self, idx: usize) {
-        if self.state.lock().unwrap().map.contains_key(&idx) {
-            return;
-        }
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Ok(b) = (self.loader)(idx) {
-            self.insert(idx, Arc::new(b));
+        let st = self.state.lock().expect(POISONED);
+        if !st.map.contains_key(&idx) && !st.loading.contains(&idx) {
+            let _ = self.load(st, idx, false);
         }
     }
 
-    fn insert(&self, idx: usize, b: Arc<B>) -> Arc<B> {
-        let mut st = self.state.lock().unwrap();
-        if let Some(existing) = st.map.get(&idx).cloned() {
-            return existing;
-        }
-        st.map.insert(idx, b.clone());
-        st.lru.push_back(idx);
+    /// Mark `idx` in flight, release the lock, load, and insert
+    /// (`leased` when a `get` is loading it for its own use).
+    fn load(
+        &self,
+        mut st: MutexGuard<'_, CacheState<B>>,
+        idx: usize,
+        leased: bool,
+    ) -> io::Result<Arc<B>> {
+        st.loading.insert(idx);
+        drop(st);
+        let _mark = InFlight { cache: self, idx };
+        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let b = Arc::new((self.loader)(idx)?);
+        let mut guard = self.state.lock().expect(POISONED);
+        let st = &mut *guard;
+        st.map.insert(
+            idx,
+            Resident {
+                buf: Arc::clone(&b),
+                leased,
+            },
+        );
+        st.order.push_back(idx);
         while st.map.len() > self.cap {
-            // Evict the least-recently-used entry that is not the one we
-            // just inserted (cap 1 must still admit the new chunk).
-            let Some(p) = st.lru.iter().position(|&i| i != idx) else {
+            let map = &st.map;
+            let p = st
+                .order
+                .iter()
+                .position(|i| map.get(i).is_some_and(|r| r.leased))
+                .unwrap_or(0);
+            let Some(victim) = st.order.remove(p) else {
                 break;
             };
-            let victim = st.lru.remove(p).unwrap();
             st.map.remove(&victim);
             // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        b
+        Ok(b)
     }
 
     /// Snapshot the hit/miss/evict counters.
@@ -1915,6 +1994,16 @@ mod tests {
         assert_eq!(s1.hits, s0.hits + 1);
         assert_eq!(s1.misses, s0.misses);
 
+        // A prefetched chunk outlives a newer chunk that was already
+        // leased: the leased one is evicted first.
+        let cache = ChunkCache::for_items(store.clone(), 2);
+        cache.prefetch(1);
+        cache.get(0).unwrap();
+        cache.get(2).unwrap();
+        let s0 = cache.stats();
+        cache.get(1).unwrap();
+        assert_eq!(cache.stats().hits, s0.hits + 1, "prefetched chunk evicted");
+
         // Unbounded (0): no evictions ever.
         let unbounded = ChunkCache::for_items(store.clone(), 0);
         for idx in 0..n {
@@ -1932,5 +2021,73 @@ mod tests {
             }
         );
         fs::remove_file(&path).unwrap();
+    }
+
+    /// Workers and the prefetcher racing on one chunk share a single
+    /// load, and a failed load wakes every waiter with an error.
+    #[test]
+    fn chunk_cache_loads_are_single_flight() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, Barrier};
+        const WAITERS: usize = 4;
+        for fail in [false, true] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let (started_tx, started_rx) = mpsc::channel::<()>();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let release_rx = Mutex::new(release_rx);
+            let counted = Arc::clone(&calls);
+            // The first load blocks until released; later ones are instant.
+            let cache: ChunkCache<u64> = ChunkCache::new(
+                1,
+                0,
+                Box::new(move |idx| {
+                    if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                        started_tx.send(()).unwrap();
+                        release_rx.lock().unwrap().recv().unwrap();
+                    }
+                    if fail {
+                        Err(io::Error::other("load failed"))
+                    } else {
+                        Ok(idx as u64 + 7)
+                    }
+                }),
+            );
+            let barrier = Barrier::new(WAITERS + 1);
+            let (prefetch_calls, first, rest) = std::thread::scope(|s| {
+                let first = s.spawn(|| cache.get(0));
+                started_rx.recv().unwrap();
+                // Chunk 0 is in flight: a prefetch must return without
+                // loading it.
+                s.spawn(|| cache.prefetch(0)).join().unwrap();
+                let prefetch_calls = calls.load(Ordering::SeqCst);
+                let waiters: Vec<_> = (0..WAITERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cache.get(0)
+                        })
+                    })
+                    .collect();
+                barrier.wait();
+                // A slow load: the waiters reach `get` while it runs.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                release_tx.send(()).unwrap();
+                let rest: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+                (prefetch_calls, first.join().unwrap(), rest)
+            });
+            assert_eq!(prefetch_calls, 1, "prefetch loaded an in-flight chunk");
+            if fail {
+                assert!(first.is_err());
+                assert!(rest.iter().all(|r| r.is_err()), "a waiter got a buffer");
+            } else {
+                let first = first.unwrap();
+                assert_eq!(*first, 7);
+                for r in &rest {
+                    assert!(Arc::ptr_eq(&first, r.as_ref().unwrap()));
+                }
+                assert_eq!(calls.load(Ordering::SeqCst), 1, "chunk loaded twice");
+                assert_eq!(cache.stats().misses, 1);
+            }
+        }
     }
 }
